@@ -70,54 +70,6 @@ void axpy_columns(const std::vector<double>& alpha, const MultiVector& X,
   count_blas1(wc, X, 2, 1, 2);
 }
 
-void xpby_columns(const MultiVector& X, const std::vector<double>& beta,
-                  MultiVector& Y, WorkCounters* wc) {
-  require_same_shape(X, Y, "xpby_columns");
-  require(Int(beta.size()) == X.m, "xpby_columns: beta size mismatch");
-  const double* HPAMG_RESTRICT b = beta.data();
-  const double* HPAMG_RESTRICT xp = X.data.data();
-  double* HPAMG_RESTRICT yp = Y.data.data();
-  parallel_for(0, X.n, [&](Int i) {
-    const std::size_t off = std::size_t(i) * X.m;
-    for (Int j = 0; j < X.m; ++j) yp[off + j] = xp[off + j] + b[j] * yp[off + j];
-  });
-  count_blas1(wc, X, 2, 1, 2);
-}
-
-void scale_columns(const std::vector<double>& s, MultiVector& X,
-                   WorkCounters* wc) {
-  require(Int(s.size()) == X.m, "scale_columns: scale size mismatch");
-  const double* HPAMG_RESTRICT sp = s.data();
-  double* HPAMG_RESTRICT xp = X.data.data();
-  parallel_for(0, X.n, [&](Int i) {
-    const std::size_t off = std::size_t(i) * X.m;
-    for (Int j = 0; j < X.m; ++j) xp[off + j] *= sp[j];
-  });
-  count_blas1(wc, X, 1, 1, 1);
-}
-
-std::vector<double> dot_columns(const MultiVector& X, const MultiVector& Y,
-                                WorkCounters* wc) {
-  TRACE_SPAN("multivector.dot_columns", "kernel", "rows", std::int64_t(X.n));
-  require_same_shape(X, Y, "dot_columns");
-  std::vector<double> out(X.m, 0.0);
-  const double* HPAMG_RESTRICT xp = X.data.data();
-  const double* HPAMG_RESTRICT yp = Y.data.data();
-#pragma omp parallel
-  {
-    std::vector<double> local(X.m, 0.0);
-#pragma omp for schedule(static) nowait
-    for (Int i = 0; i < X.n; ++i) {
-      const std::size_t off = std::size_t(i) * X.m;
-      for (Int j = 0; j < X.m; ++j) local[j] += xp[off + j] * yp[off + j];
-    }
-#pragma omp critical(hpamg_dot_columns)
-    for (Int j = 0; j < X.m; ++j) out[j] += local[j];
-  }
-  count_blas1(wc, X, 2, 0, 2);
-  return out;
-}
-
 std::vector<double> norm2sq_columns(const MultiVector& X, WorkCounters* wc) {
   TRACE_SPAN("multivector.norm2sq_columns", "kernel", "rows",
              std::int64_t(X.n));

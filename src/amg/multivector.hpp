@@ -61,18 +61,6 @@ void scatter_column(const Vector& in, Int j, MultiVector& X);
 void axpy_columns(const std::vector<double>& alpha, const MultiVector& X,
                   MultiVector& Y, WorkCounters* wc = nullptr);
 
-/// Per-column xpby: Y_j = X_j + beta[j] * Y_j.
-void xpby_columns(const MultiVector& X, const std::vector<double>& beta,
-                  MultiVector& Y, WorkCounters* wc = nullptr);
-
-/// Per-column scale: X_j *= s[j].
-void scale_columns(const std::vector<double>& s, MultiVector& X,
-                   WorkCounters* wc = nullptr);
-
-/// Per-column inner products: out[j] = <X_j, Y_j>.
-std::vector<double> dot_columns(const MultiVector& X, const MultiVector& Y,
-                                WorkCounters* wc = nullptr);
-
 /// Per-column squared norms: out[j] = <X_j, X_j>.
 std::vector<double> norm2sq_columns(const MultiVector& X,
                                     WorkCounters* wc = nullptr);

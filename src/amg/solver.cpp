@@ -424,12 +424,6 @@ void AMGSolver::precondition(const Vector& b, Vector& x, PhaseTimes* pt,
   vcycle(h_, b, x, pt, wc);
 }
 
-void AMGSolver::precondition_multi(const MultiVector& b, MultiVector& x,
-                                   PhaseTimes* pt, WorkCounters* wc) {
-  set_zero(x);
-  vcycle_multi(h_, b, x, pt, wc);
-}
-
 void AMGSolver::refresh_values(const CSRMatrix& A_new) {
   require(!h_.levels.empty(), "refresh_values: empty hierarchy");
   require(A_new.nrows == h_.levels[0].n && A_new.nrows == A_new.ncols,

@@ -109,11 +109,6 @@ class AMGSolver {
   void precondition(const Vector& b, Vector& x, PhaseTimes* pt = nullptr,
                     WorkCounters* wc = nullptr);
 
-  /// Batched preconditioner apply: X = B(B_rhs) per column, zero guess.
-  void precondition_multi(const MultiVector& b, MultiVector& x,
-                          PhaseTimes* pt = nullptr,
-                          WorkCounters* wc = nullptr);
-
   /// Numeric setup refresh for time-dependent problems: A_new must have
   /// the SAME sparsity pattern as the setup matrix, only different values.
   /// The CF splittings and interpolation operators are frozen (lagged, the

@@ -128,37 +128,6 @@ void dist_spmv(simmpi::Comm& comm, const DistMatrix& A, HaloExchange& halo,
   }
 }
 
-void dist_spmv_multi(simmpi::Comm& comm, const DistMatrix& A,
-                     HaloExchange& halo, const MultiVector& X,
-                     MultiVector& X_ext, MultiVector& Y) {
-  TRACE_SPAN("dist.spmv_multi", "kernel", "rows",
-             std::int64_t(A.local_rows()));
-  (void)comm;
-  halo.exchange(X, X_ext);
-  const Int n = A.local_rows();
-  const Int m = X.m;
-  Y.resize(n, m);
-  for (Int j0 = 0; j0 < m; j0 += kMaxRhsBlock) {
-    const Int bw = std::min(kMaxRhsBlock, m - j0);
-    for (Int i = 0; i < n; ++i) {
-      double acc[kMaxRhsBlock];
-      for (Int j = 0; j < bw; ++j) acc[j] = 0.0;
-      for (Int k = A.diag.rowptr[i]; k < A.diag.rowptr[i + 1]; ++k) {
-        const double a = A.diag.values[k];
-        const double* HPAMG_RESTRICT xr = X.row(A.diag.colidx[k]) + j0;
-        for (Int j = 0; j < bw; ++j) acc[j] += a * xr[j];
-      }
-      for (Int k = A.offd.rowptr[i]; k < A.offd.rowptr[i + 1]; ++k) {
-        const double a = A.offd.values[k];
-        const double* HPAMG_RESTRICT xr = X_ext.row(A.offd.colidx[k]) + j0;
-        for (Int j = 0; j < bw; ++j) acc[j] += a * xr[j];
-      }
-      double* HPAMG_RESTRICT yr = Y.row(i) + j0;
-      for (Int j = 0; j < bw; ++j) yr[j] = acc[j];
-    }
-  }
-}
-
 void dist_spmv_transpose(simmpi::Comm& comm, const DistMatrix& A,
                          const Vector& x, Vector& y) {
   TRACE_SPAN("dist.spmv_t", "kernel", "rows", std::int64_t(A.local_rows()));

@@ -103,13 +103,6 @@ void dist_vcycle(simmpi::Comm& comm, DistHierarchy& h, const Vector& b,
 void dist_spmv(simmpi::Comm& comm, const DistMatrix& A, HaloExchange& halo,
                const Vector& x, Vector& x_ext, Vector& y);
 
-/// Y = A X for all columns, with ONE batched halo exchange (all m values
-/// per boundary row in a single message per peer — per-RHS message count
-/// is 1/m of calling dist_spmv per column).
-void dist_spmv_multi(simmpi::Comm& comm, const DistMatrix& A,
-                     HaloExchange& halo, const MultiVector& X,
-                     MultiVector& X_ext, MultiVector& Y);
-
 /// y = A^T x via partial-sum scatter + triplet exchange (the baseline
 /// restriction path: no stored transpose).
 void dist_spmv_transpose(simmpi::Comm& comm, const DistMatrix& A,

@@ -4,7 +4,7 @@
 #include <string>
 
 #include "amg/telemetry.hpp"
-#include "krylov/gmres_common.hpp"
+#include "krylov/fgmres_core.hpp"
 #include "matrix/vector_ops.hpp"
 #include "support/check.hpp"
 #include "support/fault.hpp"
@@ -16,13 +16,6 @@
 namespace hpamg {
 
 namespace {
-
-/// Residual with a caller-provided halo (avoids rebuilding patterns).
-void residual(simmpi::Comm& comm, const DistMatrix& A, HaloExchange& halo,
-              const Vector& x, Vector& x_ext, const Vector& b, Vector& r) {
-  dist_spmv(comm, A, halo, x, x_ext, r);
-  for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
-}
 
 /// Detaches the telemetry hook on every exit path (the hook lives on the
 /// solve's stack frame; the hierarchy outlives it).
@@ -36,177 +29,115 @@ struct TelemetryLoan {
   TelemetryLoan& operator=(const TelemetryLoan&) = delete;
 };
 
+/// FGMRES backend over one rank's slice: halo-exchanged SpMV, allreduced
+/// inner products, one AMG V-cycle as the preconditioner. Owns what only
+/// the distributed solve has: phase timing, per-iteration telemetry, the
+/// `dist.solve.poison` fault site and the rank-0 log.
+class DistBackend final : public FgmresBackend {
+ public:
+  DistBackend(simmpi::Comm& comm, const DistMatrix& A, DistHierarchy& h,
+              PhaseTimes& pt)
+      : comm_(comm),
+        A_(A),
+        h_(h),
+        pt_(pt),
+        halo_(comm, A.colmap, A.row_starts, true),
+        telemetry_on_(metrics::enabled()),
+        loan_(h, telemetry_on_ ? &tel_ : nullptr) {}
+
+  void apply(const Vector& z, Vector& w) override {
+    spmv(z, w);
+    charge("SpMV");
+    if (fault::enabled())
+      fault::maybe_poison("dist.solve.poison", w.data(), w.size());
+  }
+  void precondition(const Vector& v, Vector& z) override {
+    charge("BLAS1");
+    if (telemetry_on_) {
+      tel_.begin_cycle(h_.levels.size());
+      t_iter_.reset();
+    }
+    std::fill(z.begin(), z.end(), 0.0);
+    dist_vcycle(comm_, h_, v, z, &pt_);  // charges its own phases
+    clock_.reset();
+  }
+  double dot(const Vector& a, const Vector& b) override {
+    return dist_dot(comm_, a, b);
+  }
+  double norm(const Vector& a) override { return dist_norm2(comm_, a); }
+  void residual(const Vector& x, const Vector& b, Vector& r) override {
+    spmv(x, r);
+    for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
+    charge("SpMV");
+  }
+  void iteration_done(Int it, double relres, double prev_relres) override {
+    charge("BLAS1");
+    // normb only scales the smoother-effectiveness fields, which the dist
+    // cycle does not measure (extra collectives would perturb the
+    // comm-stat baselines).
+    if (telemetry_on_)
+      telemetry.push_back(make_iteration_entry(
+          it, relres, prev_relres, t_iter_.seconds(), 0.0, &tel_));
+    if (comm_.rank() == 0)
+      HPAMG_LOG_DEBUG("fgmres it %d relres %.3e", int(it), relres);
+    clock_.reset();
+  }
+  void recovered(const std::string& event) override {
+    if (comm_.rank() == 0) HPAMG_LOG_WARN("fgmres %s", event.c_str());
+  }
+
+  /// Charges the CPU time since the last charge to `phase`. The time the
+  /// core spends between backend calls is its own vector work: BLAS1.
+  void charge(const char* phase) {
+    pt_.add(phase, clock_.seconds());
+    clock_.reset();
+  }
+
+  std::vector<IterationReportEntry> telemetry;  ///< metrics-on only
+
+ private:
+  void spmv(const Vector& x, Vector& y) {
+    charge("BLAS1");
+    dist_spmv(comm_, A_, halo_, x, x_ext_, y);
+  }
+
+  simmpi::Comm& comm_;
+  const DistMatrix& A_;
+  DistHierarchy& h_;
+  PhaseTimes& pt_;
+  HaloExchange halo_;
+  Vector x_ext_;
+  const bool telemetry_on_;
+  CycleTelemetryHook tel_;
+  TelemetryLoan loan_;
+  CpuTimer t_iter_;
+  CpuTimer clock_;  ///< last declared: starts once the halo is built
+};
+
 }  // namespace
 
 DistSolveResult dist_fgmres(simmpi::Comm& comm, const DistMatrix& A,
                             DistHierarchy& h, const Vector& b, Vector& x,
                             double rtol, Int max_iterations, Int restart) {
-  TRACE_SPAN("krylov.fgmres", "phase");
-  DistSolveResult res;
-  const Int n = A.local_rows();
   // Solver-entry invariants: ownership partition and vector shapes.
   HPAMG_CHECK_INVARIANT(check::Depth::kCheap,
                         A.check_partition(comm.size()));
   HPAMG_CHECK_INVARIANT(
       check::Depth::kCheap,
-      check::vectors_match(std::size_t(n), b.size(), x.size(),
+      check::vectors_match(std::size_t(A.local_rows()), b.size(), x.size(),
                            "dist_fgmres"));
-  PhaseTimes& pt = res.solve_times;
-  HaloExchange halo(comm, A.colmap, A.row_starts, true);
-  Vector x_ext;
-
-  CpuTimer t_blas;
-  double normb = dist_norm2(comm, b);
-  pt.add("BLAS1", t_blas.seconds());
-  if (normb == 0.0) normb = 1.0;
-
-  std::vector<Vector> V(restart + 1, Vector(n, 0.0));
-  std::vector<Vector> Z(restart, Vector(n, 0.0));
-  Vector r(n), w(n);
-  // Best finite iterate seen at a restart boundary — the fallback when x
-  // itself turns non-finite. Every classification below uses globally
-  // reduced quantities, so all ranks take the same branch.
-  Vector x_best(x);
-  double x_best_relres = -1.0;
-  Int total_it = 0;
-  double relres = 0.0;
-
-  // Per-iteration telemetry rides along only when the metrics registry is
-  // on; dist smoother effectiveness is not measured (it would add
-  // collectives and perturb the comm-stat baselines).
-  const bool telemetry_on = metrics::enabled();
-  CycleTelemetryHook tel;
-  TelemetryLoan loan(h, telemetry_on ? &tel : nullptr);
-  double prev_relres = -1.0;
-  CpuTimer t_iter;
-
-  while (total_it < max_iterations) {
-    {
-      CpuTimer t;
-      residual(comm, A, halo, x, x_ext, b, r);
-      pt.add("SpMV", t.seconds());
-    }
-    CpuTimer t2;
-    const double beta = dist_norm2(comm, r);
-    pt.add("BLAS1", t2.seconds());
-    relres = beta / normb;
-    if (relres < rtol) {
-      res.converged = true;
-      res.status = res.recoveries > 0 ? Status::kRecovered : Status::kOk;
-      break;
-    }
-    if (!std::isfinite(relres)) {
-      if (res.nonfinite_iteration < 0) res.nonfinite_iteration = total_it;
-      if (res.recoveries < kDistMaxRecoveries && x_best_relres >= 0.0) {
-        ++res.recoveries;
-        copy(x_best, x);
-        std::string ev = "recovered at iteration " +
-                         std::to_string(total_it) +
-                         " (non_finite): restored best restart iterate";
-        if (comm.rank() == 0) HPAMG_LOG_WARN("fgmres %s", ev.c_str());
-        trace::instant("fgmres.recovery", "fault");
-        res.events.push_back(std::move(ev));
-        continue;
-      }
-      res.status = Status::kNonFinite;
-      break;
-    }
-    if (x_best_relres < 0.0 || relres < x_best_relres) {
-      copy(x, x_best);
-      x_best_relres = relres;
-    }
-    copy(r, V[0]);
-    scale(1.0 / beta, V[0]);
-    detail::HessenbergLS ls(restart);
-    ls.set_rhs(beta);
-    if (prev_relres < 0.0) prev_relres = relres;  // restart-entry residual
-
-    bool basis_poisoned = false;
-    Int j = 0;
-    for (; j < restart && total_it < max_iterations; ++j, ++total_it) {
-      TRACE_SPAN("fgmres.iter", std::int64_t(total_it));
-      if (telemetry_on) {
-        tel.begin_cycle(h.levels.size());
-        t_iter.reset();
-      }
-      // Preconditioner: one distributed AMG V-cycle.
-      std::fill(Z[j].begin(), Z[j].end(), 0.0);
-      dist_vcycle(comm, h, V[j], Z[j], &pt);
-      {
-        CpuTimer t;
-        dist_spmv(comm, A, halo, Z[j], x_ext, w);
-        pt.add("SpMV", t.seconds());
-      }
-      if (fault::enabled())
-        fault::maybe_poison("dist.solve.poison", w.data(), w.size());
-      CpuTimer t3;
-      for (Int i = 0; i <= j; ++i) {
-        const double hij = dist_dot(comm, w, V[i]);
-        ls.h(i, j) = hij;
-        axpy(-hij, V[i], w);
-      }
-      const double hn = dist_norm2(comm, w);
-      ls.h(j + 1, j) = hn;
-      if (hn != 0.0 && std::isfinite(hn)) {
-        copy(w, V[j + 1]);
-        scale(1.0 / hn, V[j + 1]);
-      }
-      relres = ls.apply_rotations(j) / normb;
-      pt.add("BLAS1", t3.seconds());
-      res.iterations = total_it + 1;
-      res.history.push_back(relres);
-      live::beat_iteration(total_it + 1, relres);
-      if (telemetry_on) {
-        res.telemetry.push_back(make_iteration_entry(
-            total_it + 1, relres, prev_relres, t_iter.seconds(), normb,
-            &tel));
-      }
-      prev_relres = relres;
-      if (comm.rank() == 0)
-        HPAMG_LOG_DEBUG("fgmres it %d relres %.3e", int(total_it + 1),
-                        relres);
-      if (!std::isfinite(relres) || !std::isfinite(hn)) {
-        // The in-flight Krylov basis is poisoned; x is still the finite
-        // iterate from the last restart boundary. Discard the basis and
-        // restart instead of spreading the NaN through the update.
-        if (res.nonfinite_iteration < 0)
-          res.nonfinite_iteration = total_it + 1;
-        basis_poisoned = true;
-        ++j;
-        ++total_it;
-        break;
-      }
-      if (relres < rtol || hn == 0.0) {
-        ++j;
-        ++total_it;
-        break;
-      }
-    }
-    if (basis_poisoned) {
-      if (res.recoveries < kDistMaxRecoveries) {
-        ++res.recoveries;
-        std::string ev = "recovered at iteration " + std::to_string(total_it) +
-                         " (non_finite): discarded Krylov basis, restarted "
-                         "from last restart iterate";
-        if (comm.rank() == 0) HPAMG_LOG_WARN("fgmres %s", ev.c_str());
-        trace::instant("fgmres.recovery", "fault");
-        res.events.push_back(std::move(ev));
-        continue;
-      }
-      res.status = Status::kNonFinite;
-      break;
-    }
-    CpuTimer t4;
-    std::vector<double> y = ls.solve(j);
-    for (Int i = 0; i < j; ++i) axpy(y[i], Z[i], x);
-    pt.add("BLAS1", t4.seconds());
-    if (relres < rtol) {
-      res.converged = true;
-      res.status = res.recoveries > 0 ? Status::kRecovered : Status::kOk;
-      break;
-    }
-  }
-  res.final_relres = relres;
+  DistSolveResult res;
+  DistBackend backend(comm, A, h, res.solve_times);
+  KrylovOptions opt;
+  opt.rtol = rtol;
+  opt.max_iterations = max_iterations;
+  opt.restart = restart;
+  // opt.deadline never expires: a rank-local clock check would split the
+  // ranks' branches.
+  FgmresBasis basis;
+  static_cast<KrylovResult&>(res) = fgmres_solve(backend, b, x, opt, basis);
+  backend.charge("BLAS1");
+  res.telemetry = std::move(backend.telemetry);
   return res;
 }
 

@@ -8,20 +8,11 @@
 
 namespace hpamg {
 
-struct DistSolveResult {
-  Int iterations = 0;
-  double final_relres = 0.0;
-  bool converged = false;
-  /// Why the solve stopped (support/error.hpp). Identical on every rank:
-  /// all classification/recovery decisions are taken from globally reduced
-  /// residuals, so the ranks never disagree (no extra collectives needed).
-  Status status = Status::kMaxIterations;
-  Int nonfinite_iteration = -1;  ///< first NaN/Inf iteration; -1 if none
-  Int recoveries = 0;            ///< recoveries performed (see below)
-  std::vector<std::string> events;  ///< incident log, same on every rank
-  /// Globally reduced relative residual after each iteration — identical
-  /// on every rank (FGMRES records the Givens-rotation estimate).
-  std::vector<double> history;
+/// A distributed solve's result. Status, history, recoveries and events
+/// are identical on every rank: all classification/recovery decisions are
+/// taken from globally reduced residuals, so the ranks never disagree (no
+/// extra collectives needed).
+struct DistSolveResult : KrylovResult {
   /// Per-iteration telemetry (amg/telemetry.hpp), recorded only when the
   /// metrics registry is enabled; rank-local (per-level times are this
   /// rank's CPU time).
@@ -29,16 +20,13 @@ struct DistSolveResult {
   PhaseTimes solve_times;  ///< GS / SpMV / BLAS1 / Solve_MPI / Solve_etc
 };
 
-/// Recovery budget per distributed solve, mirroring
-/// AMGSolver::kMaxRecoveries.
+/// Recovery budget of dist_amg_solve, mirroring AMGSolver::kMaxRecoveries.
 inline constexpr Int kDistMaxRecoveries = 3;
 
 /// Collective FGMRES(m) on the distributed system, preconditioned by one
-/// V-cycle of `h` per iteration. x holds the local solution slice.
-/// A non-finite Arnoldi quantity discards the in-flight Krylov basis and
-/// restarts from the current (still finite) iterate; a non-finite restart
-/// residual restores the best snapshot — each counts against
-/// kDistMaxRecoveries, after which the solve stops with kNonFinite.
+/// V-cycle of `h` per iteration. x holds the local solution slice. The
+/// FGMRES core (krylov/fgmres_core.hpp) over simmpi SpMV and reductions,
+/// with the same recovery as the local `fgmres` (kKrylovMaxRecoveries).
 [[nodiscard]] DistSolveResult dist_fgmres(simmpi::Comm& comm, const DistMatrix& A,
                             DistHierarchy& h, const Vector& b, Vector& x,
                             double rtol, Int max_iterations, Int restart = 50);

@@ -130,33 +130,6 @@ void HaloExchange::exchange(const std::vector<Long>& local,
   exchange_impl(local.data(), ext.data(), tag_base_ + 2);
 }
 
-void HaloExchange::exchange(const MultiVector& x_local, MultiVector& x_ext) {
-  TRACE_SPAN("halo.exchange_multi", "comm", "ext_size",
-             std::int64_t(ext_size_));
-  const Int m = x_local.m;
-  x_ext.resize(ext_size_, m);
-  const int tag = tag_base_ + 3;
-  // Pack all m values of each boundary row contiguously: one message per
-  // peer regardless of the RHS count, so per-RHS message count is 1/m of
-  // the scalar exchange while the byte volume stays m-proportional.
-  std::vector<double> buf;
-  for (const SendPeer& sp : send_peers_) {
-    buf.resize(sp.local_idx.size() * std::size_t(m));
-    for (std::size_t k = 0; k < sp.local_idx.size(); ++k) {
-      const double* HPAMG_RESTRICT row = x_local.row(sp.local_idx[k]);
-      for (Int j = 0; j < m; ++j) buf[k * std::size_t(m) + j] = row[j];
-    }
-    comm_.send(sp.rank, tag, buf.data(), buf.size() * sizeof(double),
-               persistent_);
-  }
-  for (const RecvPeer& rp : recv_peers_) {
-    std::vector<double> in = comm_.recv_vec<double>(rp.rank, tag);
-    require(Int(in.size()) == rp.count * m,
-            "HaloExchange: multi-RHS size mismatch");
-    std::copy(in.begin(), in.end(), x_ext.row(rp.offset));
-  }
-}
-
 GatheredRows gather_rows(simmpi::Comm& comm, const DistMatrix& B,
                          const std::vector<Long>& needed_rows,
                          const RowFilter& filter, bool persistent) {

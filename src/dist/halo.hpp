@@ -17,7 +17,6 @@
 
 #include <functional>
 
-#include "amg/multivector.hpp"
 #include "dist/dist_matrix.hpp"
 #include "dist/simmpi.hpp"
 #include "support/error.hpp"
@@ -41,12 +40,6 @@ class HaloExchange {
 
   /// Same for Long payloads (global coarse indices in dist interpolation).
   void exchange(const std::vector<Long>& local, std::vector<Long>& ext);
-
-  /// Batched multi-RHS exchange: ships all m values of every boundary row
-  /// in ONE message per peer, so the per-RHS message count drops to 1/m of
-  /// the scalar exchange (x_ext is resized to ext_size() rows by x_local.m
-  /// columns). Same pattern, same peers, m-fold payload.
-  void exchange(const MultiVector& x_local, MultiVector& x_ext);
 
   Int ext_size() const { return ext_size_; }
   int num_peers() const { return int(send_peers_.size() + recv_peers_.size()); }

@@ -1,14 +1,16 @@
-// Krylov solvers: CG / PCG, GMRES(m), and Flexible GMRES (Saad 1993).
+// Krylov solvers: CG / PCG and Flexible GMRES (Saad 1993).
 //
 // The paper's multi-node configuration (Table 4) wraps AMG as the
 // preconditioner of Flexible GMRES; FGMRES tolerates the slightly varying
 // preconditioner that a parallel AMG V-cycle is. CG is provided for SPD
-// systems and used by the examples.
+// systems and used by the examples. FGMRES is written once, over the small
+// backend interface in krylov/fgmres_core.hpp; `fgmres` below and the
+// distributed `dist_fgmres` (dist/dist_krylov.hpp) are its two backends.
 #pragma once
 
 #include <functional>
+#include <string>
 
-#include "amg/multivector.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/vector_ops.hpp"
 #include "support/counters.hpp"
@@ -25,21 +27,31 @@ struct KrylovResult {
   Int iterations = 0;
   double final_relres = 0.0;
   bool converged = false;
-  /// Why the solve stopped (support/error.hpp): kOk, kMaxIterations,
-  /// kNonFinite (NaN/Inf residual or basis vector), kStagnated (exact
-  /// breakdown — no further progress possible). converged == status_ok().
+  /// Why the solve stopped (support/error.hpp): kOk, kRecovered (converged
+  /// after at least one recovery), kMaxIterations, kDeadlineExceeded,
+  /// kNonFinite (NaN/Inf residual or basis vector with the recovery budget
+  /// spent), kStagnated (exact breakdown — no further progress possible).
+  /// converged == status_ok().
   Status status = Status::kMaxIterations;
   /// First iteration that produced a non-finite quantity; -1 if none.
   Int nonfinite_iteration = -1;
+  Int recoveries = 0;               ///< FGMRES recoveries performed
+  std::vector<std::string> events;  ///< incident log (one line each)
+  /// Relative residual after each iteration (history[k] after iteration
+  /// k+1; the initial residual is not recorded). FGMRES records the
+  /// Givens-rotation estimate.
   std::vector<double> history;
 };
+
+/// Recovery budget of one FGMRES solve, mirroring AMGSolver::kMaxRecoveries.
+inline constexpr Int kKrylovMaxRecoveries = 3;
 
 struct KrylovOptions {
   double rtol = 1e-7;
   Int max_iterations = 1000;
-  Int restart = 50;  ///< GMRES/FGMRES restart length
+  Int restart = 50;  ///< FGMRES restart length
   /// Time budget, checked once per iteration (per inner Arnoldi step for
-  /// GMRES/FGMRES): an expired deadline stops the solve with
+  /// FGMRES): an expired deadline stops the solve with
   /// Status::kDeadlineExceeded and the partial iterate/history. Defaults
   /// to never expiring.
   Deadline deadline;
@@ -50,56 +62,15 @@ struct KrylovOptions {
                  const KrylovOptions& opt = {},
                  const Preconditioner& precond = nullptr);
 
-/// Right-preconditioned restarted GMRES(m).
-[[nodiscard]] KrylovResult gmres(const CSRMatrix& A, const Vector& b, Vector& x,
-                   const KrylovOptions& opt = {},
-                   const Preconditioner& precond = nullptr);
-
 /// Flexible GMRES(m): the preconditioner may change between iterations
-/// (stores the preconditioned basis Z).
+/// (stores the preconditioned basis Z). Right-preconditioned; a null
+/// precond is the identity. A non-finite Arnoldi quantity discards the
+/// in-flight basis and restarts from the last restart iterate; a
+/// non-finite restart residual restores the best restart iterate. Each
+/// counts against kKrylovMaxRecoveries, after which the solve stops with
+/// kNonFinite.
 [[nodiscard]] KrylovResult fgmres(const CSRMatrix& A, const Vector& b, Vector& x,
                     const KrylovOptions& opt = {},
                     const Preconditioner& precond = nullptr);
-
-// ---------------------------------------------------------------------------
-// Block (multi-RHS) Krylov: m simultaneous per-column recurrences sharing
-// the batched SpMV and one batched preconditioner apply per iteration. The
-// columns stay mathematically independent (no shared search space), so each
-// converges like the scalar method on that column — the win is bandwidth
-// amortization, matching the AMG multi-RHS path it composes with.
-// ---------------------------------------------------------------------------
-
-/// Batched preconditioner apply: Z = M^{-1} R column-wise (Z overwritten).
-using MultiPreconditioner =
-    std::function<void(const MultiVector& R, MultiVector& Z)>;
-
-struct BlockKrylovResult {
-  Int iterations = 0;      ///< iterations shared across columns
-  bool converged = false;  ///< every column reached rtol
-  /// kOk (all converged), kMaxIterations, kNonFinite (any column poisoned
-  /// — the batch aborts), kStagnated (every unconverged column broke down).
-  Status status = Status::kMaxIterations;
-  Int nonfinite_iteration = -1;
-  std::vector<double> final_relres;  ///< per column
-  /// Per column: iteration at which it converged (0 = on entry, -1 = not).
-  std::vector<Int> col_iterations;
-};
-
-/// Block PCG: per-column alpha/beta/rho recurrences; converged or
-/// broken-down columns freeze (their iterate stops changing) while the
-/// rest keep sharing the batched kernels.
-[[nodiscard]] BlockKrylovResult block_pcg(
-    const CSRMatrix& A, const MultiVector& B, MultiVector& X,
-    const KrylovOptions& opt = {},
-    const MultiPreconditioner& precond = nullptr);
-
-/// Block flexible GMRES(m): per-column Hessenberg least-squares problems
-/// over a shared batched Arnoldi sweep; each column's update uses its own
-/// inner-iteration count, so early-converging columns are not dragged
-/// through extra corrections.
-[[nodiscard]] BlockKrylovResult block_fgmres(
-    const CSRMatrix& A, const MultiVector& B, MultiVector& X,
-    const KrylovOptions& opt = {},
-    const MultiPreconditioner& precond = nullptr);
 
 }  // namespace hpamg

@@ -38,16 +38,6 @@ CSRMatrix permute_rows(const CSRMatrix& A, const std::vector<Int>& perm) {
   return B;
 }
 
-CSRMatrix permute_cols(const CSRMatrix& A, const std::vector<Int>& inv,
-                       Int new_ncols) {
-  CSRMatrix B = A;
-  B.ncols = new_ncols;
-  parallel_for(0, Int(B.colidx.size()), [&](Int k) {
-    B.colidx[k] = inv[B.colidx[k]];
-  });
-  return B;
-}
-
 CSRMatrix permute_symmetric(const CSRMatrix& A, const CFPermutation& p) {
   require(A.nrows == A.ncols, "permute_symmetric: matrix must be square");
   CSRMatrix B = permute_rows(A, p.perm);

@@ -32,10 +32,6 @@ CSRMatrix permute_symmetric(const CSRMatrix& A, const CFPermutation& p);
 /// B(i, :) = A(perm[i], :) — row permutation only.
 CSRMatrix permute_rows(const CSRMatrix& A, const std::vector<Int>& perm);
 
-/// B(:, j) such that B(i, inv[jold]) = A(i, jold) — column renumbering.
-CSRMatrix permute_cols(const CSRMatrix& A, const std::vector<Int>& inv,
-                       Int new_ncols);
-
 /// out[i] = v[perm[i]].
 std::vector<double> permute_vector(const std::vector<double>& v,
                                    const std::vector<Int>& perm);

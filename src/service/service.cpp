@@ -259,6 +259,7 @@ std::future<RequestReport> SolverService::admit(std::shared_ptr<Request> rq) {
                 fmt_g(old_rtol) + " -> " + fmt_g(rq->opts.rtol));
           }
         }
+        rq->enqueue_tp = Deadline::Clock::now();
         queue_.push_back(rq);
         verdict = Verdict::kAdmit;
       }
@@ -326,7 +327,9 @@ void SolverService::worker_loop() {
 
 void SolverService::process(Request& rq) {
   TRACE_SPAN("service.request", "phase");
-  rq.report.queue_seconds = seconds_since(rq.submit_tp);
+  // From the enqueue, not the submit: validation and fingerprinting run on
+  // the submitting thread before the request is queued.
+  rq.report.queue_seconds = seconds_since(rq.enqueue_tp);
   stats_->h_queue_wait_us.observe(
       std::uint64_t(std::max(0.0, rq.report.queue_seconds) * 1e6));
   if (rq.opts.deadline.expired()) {

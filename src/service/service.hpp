@@ -100,7 +100,7 @@ struct RequestReport {
   Int attempts = 0;             ///< 0 = rejected before any solve
   bool degraded = false;        ///< admission downgraded the work
   bool cache_hit = false;       ///< hierarchy served from the pool
-  double queue_seconds = 0.0;   ///< admission -> dequeue
+  double queue_seconds = 0.0;   ///< enqueue -> dequeue
   double solve_seconds = 0.0;   ///< time inside solve attempts
   double total_seconds = 0.0;   ///< admission -> completion
   /// Decision log: degrade notes, retry/backoff notes, breaker verdicts,
@@ -198,7 +198,8 @@ class SolverService {
     Vector b;
     MultiVector B{0, 1};
     RequestOptions opts;
-    Deadline::Clock::time_point submit_tp{};
+    Deadline::Clock::time_point submit_tp{};   ///< admit() entry
+    Deadline::Clock::time_point enqueue_tp{};  ///< pushed onto the queue
     std::promise<RequestReport> promise;
     RequestReport report;
   };

@@ -260,7 +260,7 @@ TEST(Krylov, AmgPreconditioningCutsIterations) {
   EXPECT_LT(pre.iterations * 3, plain.iterations);
 }
 
-TEST(Krylov, GmresAndFgmresSolveNonsymmetric) {
+TEST(Krylov, FgmresSolvesNonsymmetric) {
   // Convection-diffusion-like: Laplacian plus skew perturbation.
   CSRMatrix L = lap2d_5pt(20, 20);
   std::vector<Triplet> t;
@@ -278,10 +278,6 @@ TEST(Krylov, GmresAndFgmresSolveNonsymmetric) {
   // arithmetic; restarted GMRES can stagnate on nonsymmetric problems.
   o.restart = A.nrows;
   o.max_iterations = A.nrows;
-  KrylovResult g = gmres(A, b, x, o);
-  EXPECT_TRUE(g.converged);
-  EXPECT_LT(test::relative_residual(A, x, b), 1e-7);
-  std::fill(x.begin(), x.end(), 0.0);
   KrylovResult f = fgmres(A, b, x, o);
   EXPECT_TRUE(f.converged);
   EXPECT_LT(test::relative_residual(A, x, b), 1e-7);
@@ -308,7 +304,7 @@ TEST(Krylov, RestartBoundary) {
   o.rtol = 1e-9;
   o.restart = 5;  // force several restart cycles
   o.max_iterations = 3000;
-  KrylovResult r = gmres(A, b, x, o);
+  KrylovResult r = fgmres(A, b, x, o);
   EXPECT_TRUE(r.converged);
 }
 
